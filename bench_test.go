@@ -10,8 +10,11 @@ import (
 	"time"
 
 	"mead/internal/cdr"
+	"mead/internal/ftmgr"
+	"mead/internal/gcs"
 	"mead/internal/giop"
 	"mead/internal/orb"
+	"mead/internal/resource"
 )
 
 // benchScenario is the compressed workload used by the table/figure
@@ -435,19 +438,26 @@ func BenchmarkAblation_ObjectTable_512(b *testing.B) { runObjectScalingBench(b, 
 // requests demultiplexed by request id.
 func runInvocationBench(b *testing.B, callers int, pooled bool, copts ...orb.ClientOption) {
 	b.Helper()
-	runInvocationBenchServant(b, callers, pooled, orb.ServantFunc(func(op string, args *cdr.Decoder, result *cdr.Encoder) error {
-		result.WriteLongLong(time.Now().UnixNano())
-		return nil
-	}), copts...)
+	runInvocationBenchServant(b, callers, pooled, clockServant, nil, copts...)
 }
+
+var clockServant = orb.ServantFunc(func(op string, args *cdr.Decoder, result *cdr.Encoder) error {
+	result.WriteLongLong(time.Now().UnixNano())
+	return nil
+})
 
 // runInvocationBenchServant is runInvocationBench with a caller-supplied
 // servant, so benches can put extra server-side work (durable logging) on
-// the dispatch path.
-func runInvocationBenchServant(b *testing.B, callers int, pooled bool, servant orb.Servant, copts ...orb.ClientOption) {
+// the dispatch path, and an optional server connection wrapper (nil for a
+// bare server).
+func runInvocationBenchServant(b *testing.B, callers int, pooled bool, servant orb.Servant, wrap orb.ConnWrapper, copts ...orb.ClientOption) {
 	b.Helper()
 	key := giop.MakeObjectKey("bench", "clock")
-	s := orb.NewServer()
+	var sopts []orb.ServerOption
+	if wrap != nil {
+		sopts = append(sopts, orb.WithServerConnWrapper(wrap))
+	}
+	s := orb.NewServer(sopts...)
 	s.Register(key, servant)
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
@@ -511,12 +521,54 @@ func BenchmarkSerializedInvocations(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelinedInvocations also runs each caller count against a
+// server wrapped the way a LOCATION_FORWARD replica wraps it
+// (intercepted-N): every request is parsed by the FT manager's read hook,
+// and every reply crosses its write hook and threshold check on the way
+// to the wire.
 func BenchmarkPipelinedInvocations(b *testing.B) {
 	for _, callers := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("%d", callers), func(b *testing.B) {
 			runInvocationBench(b, callers, true)
 		})
 	}
+	for _, callers := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("intercepted-%d", callers), func(b *testing.B) {
+			runInvocationBenchServant(b, callers, true, clockServant, replicaConnWrapper(b))
+		})
+	}
+}
+
+// replicaConnWrapper returns the server connection wrapper of a
+// LOCATION_FORWARD replica whose resource budget stays idle, so every reply
+// passes through after its threshold check.
+func replicaConnWrapper(b *testing.B) orb.ConnWrapper {
+	b.Helper()
+	hub := gcs.NewHub()
+	if err := hub.Start("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = hub.Close() })
+	member, err := gcs.Dial(hub.Addr(), "bench-replica")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = member.Close() })
+	budget, err := resource.NewBudget("memory", 1<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := ftmgr.NewManager(ftmgr.Config{
+		ReplicaName: "bench-replica",
+		Group:       "bench",
+		Scheme:      ftmgr.LocationForward,
+		Monitor:     budget,
+		Member:      member,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m.WrapServerConn
 }
 
 // BenchmarkInvokePipelined is the multi-core wire-path headline: 64

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"mead/internal/cdr"
 	"mead/internal/gcs"
@@ -326,16 +327,16 @@ func (m *Manager) nextReplicaLocked() (Announce, bool) {
 	return Announce{}, false
 }
 
-// forwardIORFor finds the next replica's IOR for the object identified by
-// key, via the 16-bit hash table.
-func (m *Manager) forwardIORFor(key []byte) (giop.IOR, string, bool) {
+// forwardIORFor finds the next replica's IOR for the object whose key
+// hashes (giop.Hash16) to hash, via the 16-bit hash table.
+func (m *Manager) forwardIORFor(hash uint16) (giop.IOR, string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	next, ok := m.nextReplicaLocked()
 	if !ok {
 		return giop.IOR{}, "", false
 	}
-	byName, ok := m.iorsByHash[giop.Hash16(key)]
+	byName, ok := m.iorsByHash[hash]
 	if !ok {
 		return giop.IOR{}, "", false
 	}
@@ -434,13 +435,10 @@ func (m *Manager) noteServerRequest(st *connState, order cdr.ByteOrder, body []b
 	if m.cfg.Scheme == LocationForward {
 		// Full request parsing: the dominant cost of this scheme (90% RTT
 		// overhead in the paper). The decoded header borrows the frame
-		// buffer, so the object key is copied into state that outlives
-		// this hook call.
+		// buffer, so only the key's 16-bit hash outlives this hook call.
 		hdr, d, err := giop.DecodeRequest(order, body)
 		if err == nil {
-			st.lastRequestID = hdr.RequestID
-			st.lastObjectKey = append(st.lastObjectKey[:0], hdr.ObjectKey...)
-			st.haveRequest = true
+			st.lastKey.Store(haveKey | uint32(giop.Hash16(hdr.ObjectKey)))
 			d.Release()
 		}
 	}
@@ -450,12 +448,18 @@ func (m *Manager) noteServerRequest(st *connState, order cdr.ByteOrder, body []b
 // scheme needs ("we need to parse incoming GIOP Request messages to extract
 // the request id field so that we can generate corresponding
 // LOCATION_FORWARD Reply messages that contain the correct request id and
-// object key").
+// object key"). The request id comes from the reply being replaced, which
+// carries it: on a multiplexed connection the last request read is not, in
+// general, the one being answered. What the read side keeps is the object
+// key, as the 16-bit hash the forwarding table is indexed by, in one atomic
+// word: the reader stores it while the connection writer, on a dispatch
+// goroutine, loads it.
 type connState struct {
-	lastRequestID uint32
-	lastObjectKey []byte
-	haveRequest   bool
+	lastKey atomic.Uint32 // haveKey | Hash16 of the last request's object key; 0 before any
 }
+
+// haveKey marks connState.lastKey as set.
+const haveKey = 1 << 16
 
 // WrapServerConn interposes the scheme's server-side interceptor on an
 // accepted connection; pass it to orb.WithServerConnWrapper.
@@ -472,7 +476,7 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 			case giop.MsgBatch:
 				// A batched client burst: apply the same per-request
 				// bookkeeping to every sub-request so threshold triggering
-				// and LOCATION_FORWARD id tracking observe batched and
+				// and LOCATION_FORWARD object-key tracking observe batched and
 				// unbatched clients identically. A malformed batch is left
 				// for the ORB itself to reject.
 				_ = giop.ForEachInBatch(f.Body(), func(sh giop.Header, sbody []byte) error {
@@ -528,10 +532,15 @@ func (m *Manager) WrapServerConn(conn net.Conn) net.Conn {
 // fabricates a LOCATION_FORWARD reply holding the next replica's IOR
 // (Section 4.1).
 func (m *Manager) rewriteLocationForward(st *connState, f giop.Frame) ([]byte, error) {
-	if !st.haveRequest {
+	key := st.lastKey.Load()
+	if key&haveKey == 0 {
 		return f.Raw, nil
 	}
-	ior, _, ok := m.forwardIORFor(st.lastObjectKey)
+	id, err := giop.ReplyIDOf(f.Header.Order, f.Body())
+	if err != nil {
+		return f.Raw, nil // leave a malformed reply for the peer to reject
+	}
+	ior, _, ok := m.forwardIORFor(uint16(key))
 	if !ok {
 		return f.Raw, nil // no migration target known; serve normally
 	}
@@ -539,7 +548,7 @@ func (m *Manager) rewriteLocationForward(st *connState, f giop.Frame) ([]byte, e
 	m.migrations++
 	m.mu.Unlock()
 	fwd := giop.EncodeReply(f.Header.Order,
-		giop.ReplyHeader{RequestID: st.lastRequestID, Status: giop.ReplyLocationForward},
+		giop.ReplyHeader{RequestID: id, Status: giop.ReplyLocationForward},
 		func(e *cdr.Encoder) { giop.EncodeIOR(e, ior) })
 	return fwd, nil
 }

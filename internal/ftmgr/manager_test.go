@@ -323,7 +323,7 @@ func TestForwardIORLookup(t *testing.T) {
 	_ = n2.m.AnnounceSelf("a2", []giop.IOR{giop.NewIOR("IDL:t:1.0", "127.0.0.1", 2, key)})
 	waitFor(t, "membership", func() bool { return len(n1.m.Replicas()) == 2 })
 
-	ior, addr, ok := n1.m.forwardIORFor(key)
+	ior, addr, ok := n1.m.forwardIORFor(giop.Hash16(key))
 	if !ok {
 		t.Fatal("no forward IOR")
 	}
@@ -334,7 +334,7 @@ func TestForwardIORLookup(t *testing.T) {
 	if prof.Port != 2 {
 		t.Fatalf("forward port = %d", prof.Port)
 	}
-	if _, _, ok := n1.m.forwardIORFor([]byte("unknown-key")); ok {
+	if _, _, ok := n1.m.forwardIORFor(giop.Hash16([]byte("unknown-key"))); ok {
 		t.Fatal("unknown key produced a forward IOR")
 	}
 }
@@ -351,7 +351,8 @@ func TestCheckThresholdsCountsFromWritePath(t *testing.T) {
 	_ = n2.m.AnnounceSelf("a2", []giop.IOR{giop.NewIOR("IDL:t:1.0", "127.0.0.1", 2, key)})
 	waitFor(t, "membership", func() bool { return len(n1.m.Replicas()) == 2 })
 
-	st := &connState{lastRequestID: 77, lastObjectKey: key, haveRequest: true}
+	st := &connState{}
+	st.lastKey.Store(haveKey | uint32(giop.Hash16(key)))
 	n1.m.checkThresholds()
 	orig := giop.EncodeReply(cdr.BigEndian, giop.ReplyHeader{RequestID: 77, Status: giop.ReplyNoException}, nil)
 	frame := giop.Frame{Kind: giop.FrameGIOP, Header: giop.Header{Major: 1, Order: cdr.BigEndian, Type: giop.MsgReply, Size: uint32(len(orig) - giop.HeaderLen)}, Raw: orig}

@@ -17,9 +17,12 @@
 //     connection to the failing replica, and point the connection to the
 //     new address").
 //
-// A Conn is used by a single request/reply goroutine, like a socket in a
-// single-threaded CORBA client; only Close and SwapUnder may be called
-// concurrently with Read/Write.
+// A Conn has two independent sides. Read runs on one goroutine at a time,
+// and so do Write and WriteBuffers, but the two sides may run concurrently:
+// a server connection is read by the ORB's per-connection loop while its
+// connection writer flushes replies from the dispatch goroutines. Hooks on
+// opposite sides that share state must synchronize it. Close and SwapUnder
+// may be called concurrently with either side.
 package interceptor
 
 import (
@@ -34,8 +37,9 @@ import (
 	"mead/internal/giop"
 )
 
-// Hooks are the interception points. All hooks run on the goroutine calling
-// Read/Write; they may call SwapUnder.
+// Hooks are the interception points. Each hook runs on the goroutine
+// calling Read (OnReadFrame, OnReadEOF) or Write/WriteBuffers
+// (OnWriteFrame, OnWriteError); they may call SwapUnder.
 type Hooks struct {
 	// OnReadFrame observes each whole inbound frame (GIOP or MEAD) and
 	// returns the bytes to surface to the ORB: f.Raw to pass it through,
@@ -44,9 +48,12 @@ type Hooks struct {
 	// buffer that is recycled after the hook returns; retain copies, not
 	// f.Raw/f.Body slices.
 	OnReadFrame func(c *Conn, f giop.Frame) ([]byte, error)
-	// OnWriteFrame observes each whole outbound frame and returns the
-	// bytes to put on the wire: f.Raw to pass through, a replacement, or a
-	// replacement with additional piggybacked frames.
+	// OnWriteFrame observes each whole outbound frame once, in stream
+	// order, and returns the bytes to put on the wire: f.Raw to pass
+	// through, nil to suppress the frame, a replacement, or a replacement
+	// with additional piggybacked frames. The returned bytes must stay
+	// valid until the Write/WriteBuffers call returns: the call's whole
+	// output is written after its last frame has passed through the hook.
 	OnWriteFrame func(c *Conn, f giop.Frame) ([]byte, error)
 	// OnReadEOF is consulted when the underlying transport fails mid-read
 	// (EOF or reset — the paper's signature of an abrupt server failure).
@@ -56,12 +63,13 @@ type Hooks struct {
 	// re-parsed), so a hook that fabricates a truncated frame simply leaves
 	// the ORB to detect the short stream itself.
 	OnReadEOF func(c *Conn, err error) (substitute []byte, resume bool)
-	// OnWriteError is consulted when writing a whole frame to the
+	// OnWriteError is consulted when writing a call's output to the
 	// underlying transport fails with a stream-end error (reset or closed
 	// pipe — the write-side signature of an abrupt peer failure). The hook
 	// may repair the connection (SwapUnder) and return true, in which case
-	// the frame is rewritten once, in full, on the new transport; false
-	// propagates the error to the ORB.
+	// every frame whose bytes were not all written is rewritten once, in
+	// full and in order, on the new transport (frames written in full are
+	// not repeated); false propagates the error to the ORB.
 	OnWriteError func(c *Conn, err error) (resume bool)
 }
 
@@ -81,8 +89,13 @@ type Conn struct {
 	under   net.Conn
 	closed  bool
 
-	readBuf  []byte // filtered bytes awaiting delivery to the ORB
-	writeBuf []byte // partial outbound frame accumulation
+	readBuf []byte // filtered bytes awaiting delivery to the ORB
+
+	// Write side, owned by the one writer at a time (see WriteBuffers).
+	writeBuf []byte      // outbound bytes not yet written: whole frames, then a partial one
+	out      net.Buffers // this call's wire segments
+	ends     []int       // output offset at the end of each input frame's result
+	wv       net.Buffers // scratch copy of out for WriteTo, which consumes it
 
 	// src buffers reads from the transport. It is owned exclusively by the
 	// Read goroutine (SwapUnder only swaps `under`); when that goroutine
@@ -224,62 +237,116 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Write accumulates outbound bytes until whole frames are available, passes
-// each frame through OnWriteFrame, and writes the (possibly rewritten)
-// result to the wire.
+// Write is WriteBuffers with a one-segment vector.
+func (c *Conn) Write(p []byte) (int, error) {
+	if _, err := c.WriteBuffers(net.Buffers{p}); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// WriteBuffers is the vectored write, the writev() interposition point. It
+// accumulates v until whole frames are available, passes each whole frame
+// through OnWriteFrame once, in order, and puts the (possibly rewritten)
+// result on the transport in one write: a run of pass-through frames stays
+// one contiguous slice of the accumulation buffer, a rewritten frame
+// becomes its own segment in place, and a suppressed frame is dropped. So
+// a burst no hook rewrote leaves in one Write call on any transport, and a
+// rewritten one in one writev on TCP. A trailing partial frame is held
+// until a later call completes it.
 //
-// A corrupt or oversized frame header fails the Write with the underlying
+// A corrupt or oversized frame header fails the call with the underlying
 // typed error (ErrBadMagic, ErrBadVersion, giop.ErrTooLarge) instead of
 // accumulating bytes forever waiting for a frame that can never complete:
-// with valid headers the buffer is bounded by one maximum-size frame.
-func (c *Conn) Write(p []byte) (int, error) {
-	c.writeBuf = append(c.writeBuf, p...)
+// with valid headers the buffer is bounded by one maximum-size frame. The
+// whole frames ahead of it (or ahead of a frame whose hook failed) are
+// still written, and the rest of the call's bytes are discarded.
+//
+// WriteBuffers does not consume v. It must not run concurrently with
+// another Write or WriteBuffers.
+func (c *Conn) WriteBuffers(v net.Buffers) (int64, error) {
+	var total int64
+	for _, b := range v {
+		c.writeBuf = append(c.writeBuf, b...)
+		total += int64(len(b))
+	}
+	out, ends := c.out[:0], c.ends[:0]
+	run, off, wire := 0, 0, 0 // pass-through run start, parse offset, output bytes
+	var ferr error
 	for {
-		frameLen, err := peekFrameLen(c.writeBuf)
+		frameLen, err := peekFrameLen(c.writeBuf[off:])
 		if err != nil {
-			c.writeBuf = c.writeBuf[:0]
-			return 0, fmt.Errorf("interceptor: outbound stream corrupt: %w", err)
+			ferr = fmt.Errorf("interceptor: outbound stream corrupt: %w", err)
+			break
 		}
 		if frameLen == 0 {
-			return len(p), nil // wait for the rest of the frame
+			break // wait for the rest of the frame
 		}
 		// The frame is parsed in place (capacity-capped so hook-side appends
 		// cannot scribble on the remainder); hooks must not retain f.Raw
 		// past their return — the buffer is reclaimed below.
-		raw := c.writeBuf[:frameLen:frameLen]
-
+		raw := c.writeBuf[off : off+frameLen : off+frameLen]
 		f, err := parseFrame(raw)
 		if err != nil {
-			c.writeBuf = c.writeBuf[:0]
-			return 0, err
+			ferr = err
+			break
 		}
-		out := raw
+		res := raw
 		if c.hooks.OnWriteFrame != nil {
-			out, err = c.hooks.OnWriteFrame(c, f)
-			if err != nil {
-				return 0, err
+			if res, err = c.hooks.OnWriteFrame(c, f); err != nil {
+				ferr = err
+				break
 			}
 		}
-		if len(out) != 0 {
-			if err := c.writeFrame(out); err != nil {
-				return 0, err
+		if len(res) != len(raw) || &res[0] != &raw[0] {
+			if off > run {
+				out = append(out, c.writeBuf[run:off])
 			}
+			if len(res) != 0 {
+				out = append(out, res)
+			}
+			run = off + frameLen
 		}
-		// Reclaim the processed frame: slide the remainder to the front so
+		off += frameLen
+		wire += len(res)
+		ends = append(ends, wire)
+	}
+	if off > run {
+		out = append(out, c.writeBuf[run:off])
+	}
+	var err error
+	if len(out) > 0 {
+		err = c.send(out, ends)
+	}
+	if ferr != nil {
+		c.writeBuf = c.writeBuf[:0]
+	} else {
+		// Reclaim the processed frames: slide the remainder to the front so
 		// the buffer never drifts through (and pins) its backing array.
-		n := copy(c.writeBuf, c.writeBuf[frameLen:])
+		n := copy(c.writeBuf, c.writeBuf[off:])
 		c.writeBuf = c.writeBuf[:n]
 	}
+	clear(out)
+	c.out, c.ends = out[:0], ends[:0]
+	if ferr != nil {
+		return 0, ferr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return total, nil
 }
 
-// writeFrame puts one whole (possibly rewritten) frame on the wire. A
-// stream-end failure is offered to OnWriteError, which may repair the
-// transport (SwapUnder) and resume; the frame is then retransmitted once,
-// in full, on the new transport. A truncated first attempt is safe to
-// repeat: the peer discards the partial frame when its end of the broken
-// connection dies.
-func (c *Conn) writeFrame(out []byte) error {
-	_, err := c.Under().Write(out)
+// send puts one call's output on the transport in a single write. ends[i]
+// is the output offset at which the i-th input frame's bytes (its
+// OnWriteFrame result) end. A stream-end failure is offered to
+// OnWriteError, which may repair the transport (SwapUnder) and resume; the
+// frames whose bytes were not all written are then rewritten once, in full
+// and in order, on the new transport. Frames already fully written are not
+// repeated; a truncated one is safe to repeat, because the peer discards
+// the partial frame when its end of the broken connection dies.
+func (c *Conn) send(out net.Buffers, ends []int) error {
+	n, err := c.writeOut(out)
 	if err == nil {
 		return nil
 	}
@@ -289,8 +356,39 @@ func (c *Conn) writeFrame(out []byte) error {
 	if !c.hooks.OnWriteError(c, err) {
 		return err
 	}
-	_, err = c.Under().Write(out)
+	done := 0 // output bytes of the frames written in full
+	for _, end := range ends {
+		if end > n {
+			break
+		}
+		done = end
+	}
+	for len(out) > 0 && done >= len(out[0]) {
+		done -= len(out[0])
+		out = out[1:]
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	out[0] = out[0][done:]
+	_, err = c.writeOut(out)
 	return err
+}
+
+// writeOut writes out to the current transport: one Write for a single
+// segment, otherwise net.Buffers.WriteTo (one writev on TCP) on a scratch
+// copy of out, since WriteTo consumes its receiver.
+func (c *Conn) writeOut(out net.Buffers) (int, error) {
+	under := c.Under()
+	if len(out) == 1 {
+		return under.Write(out[0])
+	}
+	wv := append(c.wv[:0], out...)
+	c.wv = wv
+	n, err := c.wv.WriteTo(under)
+	clear(wv)
+	c.wv = wv[:0]
+	return int(n), err
 }
 
 // LocalAddr returns the current transport's local address.

@@ -19,6 +19,10 @@ type echoRig struct {
 	cli *orb.ClientORB
 	ref *orb.ObjectRef
 	inj *netfault.Injector
+	// executed receives one value each time the servant finishes an
+	// invocation: the server-side completion signal for requests whose
+	// reply the client never sees.
+	executed chan struct{}
 }
 
 func newEchoRig(t *testing.T, seed int64, plan netfault.Plan) *echoRig {
@@ -27,8 +31,15 @@ func newEchoRig(t *testing.T, seed int64, plan netfault.Plan) *echoRig {
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
+	executed := make(chan struct{}, 64) // above any test's invocation count
 	srv := orb.NewServer()
 	srv.Register([]byte("echo"), orb.ServantFunc(func(op string, args *cdr.Decoder, result *cdr.Encoder) error {
+		defer func() {
+			select {
+			case executed <- struct{}{}:
+			default: // never blocks the server; awaitExecuted then times out
+			}
+		}()
 		s, err := args.ReadString()
 		if err != nil {
 			return err
@@ -51,7 +62,20 @@ func newEchoRig(t *testing.T, seed int64, plan netfault.Plan) *echoRig {
 	cli := orb.NewClient(orb.WithDialer(inj.DialTimeout), orb.WithDialTimeout(2*time.Second))
 	ref := cli.Object(ior)
 	t.Cleanup(func() { _ = ref.Close(); _ = cli.Close() })
-	return &echoRig{t: t, srv: srv, cli: cli, ref: ref, inj: inj}
+	return &echoRig{t: t, srv: srv, cli: cli, ref: ref, inj: inj, executed: executed}
+}
+
+// awaitExecuted waits until the servant has finished n invocations in all.
+func (r *echoRig) awaitExecuted(n int) {
+	r.t.Helper()
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case <-r.executed:
+		case <-timeout:
+			r.t.Fatalf("servant finished %d invocations, want %d", i, n)
+		}
+	}
 }
 
 // invoke performs one echo round trip, returning the invocation error.
@@ -133,8 +157,11 @@ func TestCutAfterRequest(t *testing.T) {
 		t.Fatalf("successes = %d, exceptions = %v; want 3 and one COMM_FAILURE", succ, excepts)
 	}
 	// The request whose reply was lost DID execute (COMPLETED_MAYBE):
-	// served = successes + the one fired cut.
+	// served = successes + the one fired cut. The client learns of the cut
+	// before the server has necessarily read the request off the dead
+	// connection, so wait for the servant to finish that many first.
 	want := uint64(3 + rig.inj.Fired("cut-after-request"))
+	rig.awaitExecuted(int(want))
 	if got := rig.srv.Served(); got != want {
 		t.Fatalf("served = %d, want %d", got, want)
 	}

@@ -102,6 +102,49 @@ func TestWriterBatchesConcurrentFrames(t *testing.T) {
 // server over a raw socket and expects one independent reply per
 // sub-request — the server half of the batching contract, deterministic
 // regardless of client flush timing.
+// vecConn is a connection with its own vectored write, as an
+// interceptor.Conn has. It records the calls instead of writing.
+type vecConn struct {
+	net.Conn
+	writes  int   // Write calls
+	vectors []int // segments per WriteBuffers call
+}
+
+func (c *vecConn) Write(p []byte) (int, error) { c.writes++; return len(p), nil }
+
+func (c *vecConn) WriteBuffers(v net.Buffers) (int64, error) {
+	c.vectors = append(c.vectors, len(v))
+	var n int64
+	for _, b := range v {
+		n += int64(len(b))
+	}
+	return n, nil
+}
+
+// TestWriterFlushesThroughWriteBuffers: a connection with its own
+// WriteBuffers receives a whole flush in that one call, not one Write per
+// queued message.
+func TestWriterFlushesThroughWriteBuffers(t *testing.T) {
+	c := &vecConn{}
+	w := newConnWriter(c, cdr.BigEndian, false)
+	reply := func(id uint32) []byte {
+		return giop.EncodeReply(cdr.BigEndian, giop.ReplyHeader{RequestID: id}, nil)
+	}
+	w.pending.Add(1) // hold the flush open, as a mid-write concurrent caller would
+	for id := uint32(1); id <= 2; id++ {
+		if err := w.writeMessage(reply(id), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.pending.Add(-1)
+	if err := w.writeMessage(reply(3), 0); err != nil {
+		t.Fatal(err)
+	}
+	if c.writes != 0 || len(c.vectors) != 1 || c.vectors[0] != 3 {
+		t.Fatalf("transport saw %d Writes and vectors %v; want 0 and [3]", c.writes, c.vectors)
+	}
+}
+
 func TestServerDecodesBatchFrame(t *testing.T) {
 	s, _ := startServer(t)
 	conn, err := net.Dial("tcp", s.Addr())

@@ -30,6 +30,7 @@ import (
 // whole burst.
 type connWriter struct {
 	conn    net.Conn
+	vec     buffersWriter // conn's own vectored write, if it has one
 	batch   bool          // wrap multi-frame flushes in one batch frame
 	order   cdr.ByteOrder // byte order of fabricated batch-frame headers
 	pending atomic.Int64
@@ -43,8 +44,17 @@ type connWriter struct {
 	hdr      [giop.HeaderLen]byte // reusable batch-frame header storage
 }
 
+// buffersWriter is a connection that takes a whole vector in one call: an
+// interposing connection (interceptor.Conn) that would otherwise see one
+// Write per queued segment from net.Buffers.WriteTo, which writes vectors
+// in one writev only to the net package's own connections.
+type buffersWriter interface {
+	WriteBuffers(v net.Buffers) (int64, error)
+}
+
 func newConnWriter(conn net.Conn, order cdr.ByteOrder, batch bool) *connWriter {
-	return &connWriter{conn: conn, order: order, batch: batch, canBatch: true}
+	vec, _ := conn.(buffersWriter)
+	return &connWriter{conn: conn, vec: vec, order: order, batch: batch, canBatch: true}
 }
 
 // writeMessage queues one pre-rendered message (fragmenting per maxBody)
@@ -133,7 +143,9 @@ func (w *connWriter) finishWrite(err error) error {
 }
 
 // flushLocked sends every queued segment in one vectored write and releases
-// the encoders backing them. When batching applies (enabled, >1 whole
+// the encoders backing them. A connection with its own WriteBuffers takes
+// the whole queue in that one call; any other goes through
+// net.Buffers.WriteTo. When batching applies (enabled, >1 whole
 // message queued, total within MaxMessageSize) the segments are prefixed
 // with a batch-frame header so the peer sees a single giop.MsgBatch frame.
 func (w *connWriter) flushLocked() error {
@@ -157,10 +169,16 @@ func (w *connWriter) flushLocked() error {
 			w.batches.Add(1)
 		}
 	}
-	// WriteTo via a copy of the slice header: consume() advances v and nils
-	// entries as they drain, while w.bufs keeps the backing array for reuse.
-	v := w.bufs
-	_, err := v.WriteTo(w.conn)
+	var err error
+	if w.vec != nil {
+		_, err = w.vec.WriteBuffers(w.bufs)
+	} else {
+		// WriteTo via a copy of the slice header: consume() advances v and
+		// nils entries as they drain, while w.bufs keeps the backing array
+		// for reuse.
+		v := w.bufs
+		_, err = v.WriteTo(w.conn)
+	}
 	w.releaseLocked()
 	if err != nil {
 		w.err = err

@@ -49,7 +49,7 @@ func BenchmarkInvokeDurable(b *testing.B) {
 		result.WriteLongLong(time.Now().UnixNano())
 		return nil
 	})
-	runInvocationBenchServant(b, 1, true, servant)
+	runInvocationBenchServant(b, 1, true, servant, nil)
 }
 
 // minBench runs one benchmark three times and keeps the minimum allocs/op
